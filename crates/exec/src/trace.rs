@@ -13,6 +13,26 @@
 //! artifact. Non-finite floats, which JSON cannot express as numbers, are encoded as
 //! the strings `"inf"`, `"-inf"`, and `"nan"`.
 //!
+//! # Decoding
+//!
+//! [`ExecutionTrace::from_json`] reads the document in one pass with
+//! [`json::Reader`](crate::json::Reader), straight into the trace's types, with no
+//! intermediate JSON tree; each number is parsed once. It accepts more than the
+//! writer emits:
+//!
+//! - keys in any order, including an event's `"op"` after its other fields (each
+//!   key has one type whatever the op, so every value is decoded as it passes, and a
+//!   bad value fails the event only if its op reads that field);
+//! - unknown keys, which are ignored;
+//! - duplicate keys: the first occurrence wins;
+//! - whitespace between tokens, and string escapes;
+//! - as a float, a number, one of `"inf"` / `"-inf"` / `"nan"`, or `null` (NaN).
+//!
+//! Every value, including skipped ones, must be valid JSON nested at most
+//! [`json::MAX_DEPTH`](crate::json::MAX_DEPTH) deep. Anything else is a
+//! [`TraceError::Parse`] naming the byte offset, and the stream (by key, or by
+//! position before its key is read) and event index where one applies.
+//!
 //! # Trace schema
 //!
 //! ```json
@@ -38,8 +58,9 @@
 //! driving a backend differently than it was recorded).
 
 use crate::backend::{BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules};
-use crate::json::{self, push_f64, push_key, push_str_literal, JsonValue};
+use crate::json::{self, push_f64, push_key, push_str_literal, Reader};
 use dg_cloudsim::{CostTracker, ExecutionSpec, InterferenceProfile, ObservedRun, SimTime, VmType};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -193,20 +214,30 @@ impl ExecutionTrace {
         out
     }
 
-    /// Parses a trace from its canonical JSON form.
+    /// Parses a trace from its JSON form in one pass over the document, building no
+    /// intermediate tree (see "Decoding" in the module docs for what is accepted).
     pub fn from_json(text: &str) -> Result<Self, TraceError> {
-        let root = json::parse(text).map_err(TraceError::Parse)?;
-        let campaign = get_str(&root, "campaign")?;
-        let fingerprint = get_u64(&root, "fingerprint")?;
-        let mut streams = Vec::new();
-        for value in get_array(&root, "streams")? {
-            streams.push(TraceStream::from_value(value)?);
-        }
-        // Canonicalize: streams are key-sorted (the writer always emits them sorted;
-        // sorting here keeps hand-edited documents working and lookups O(log n)).
+        let mut reader = Reader::new(text);
+        let (campaign, fingerprint, streams) = read_trace(&mut reader)
+            .and_then(|trace| reader.finish().map(|()| trace))
+            .map_err(|err| TraceError::Parse(err.to_string()))?;
+        Self::from_streams(campaign, fingerprint, streams)
+    }
+
+    /// Assembles a trace from streams in any order. Streams are sorted by key (the
+    /// writer always emits them sorted; sorting keeps hand-built traces working and
+    /// lookups O(log n)); duplicate keys are a [`TraceError::Parse`].
+    pub fn from_streams(
+        campaign: String,
+        fingerprint: u64,
+        mut streams: Vec<TraceStream>,
+    ) -> Result<Self, TraceError> {
         streams.sort_by(|a, b| a.key.cmp(&b.key));
-        if streams.windows(2).any(|w| w[0].key == w[1].key) {
-            return Err(TraceError::Parse("duplicate stream keys".into()));
+        if let Some(pair) = streams.windows(2).find(|w| w[0].key == w[1].key) {
+            return Err(TraceError::Parse(format!(
+                "duplicate stream key {:?}",
+                pair[0].key
+            )));
         }
         Ok(Self {
             campaign,
@@ -241,29 +272,6 @@ impl TraceStream {
             event.to_json(out);
         }
         out.push_str("]}");
-    }
-
-    fn from_value(value: &JsonValue) -> Result<Self, TraceError> {
-        let mut events = Vec::new();
-        for event in get_array(value, "events")? {
-            events.push(TraceEvent::from_value(event)?);
-        }
-        let failure = match value.get("failure") {
-            None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| TraceError::Parse("failure is not a string".into()))?,
-            ),
-        };
-        Ok(Self {
-            key: get_str(value, "key")?,
-            vm: get_str(value, "vm")?,
-            profile: get_str(value, "profile")?,
-            seed: get_u64(value, "seed")?,
-            failure,
-            events,
-        })
     }
 }
 
@@ -326,66 +334,6 @@ impl TraceEvent {
             }
         }
         out.push('}');
-    }
-
-    fn from_value(value: &JsonValue) -> Result<Self, TraceError> {
-        let op = get_str(value, "op")?;
-        match op.as_str() {
-            "game" => {
-                let specs = get_array(value, "specs")?
-                    .iter()
-                    .map(parse_spec)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let rules_parts = field(value, "rules")?
-                    .as_array()
-                    .ok_or_else(|| TraceError::Parse("rules is not an array".into()))?;
-                if rules_parts.len() != 3 {
-                    return Err(TraceError::Parse("rules needs 3 entries".into()));
-                }
-                let rules = GameRules {
-                    early_termination: rules_parts[0]
-                        .as_bool()
-                        .ok_or_else(|| TraceError::Parse("rules[0] is not a bool".into()))?,
-                    work_done_deviation: parse_trace_f64(&rules_parts[1])?,
-                    min_leader_progress: parse_trace_f64(&rules_parts[2])?,
-                };
-                let play = GamePlay {
-                    start: parse_time(value, "start")?,
-                    elapsed: get_f64(value, "elapsed")?,
-                    observed_times: get_f64_array(value, "times")?,
-                    execution_scores: get_f64_array(value, "scores")?,
-                    early_terminated: field(value, "early")?
-                        .as_bool()
-                        .ok_or_else(|| TraceError::Parse("early is not a bool".into()))?,
-                };
-                if play.observed_times.len() != specs.len()
-                    || play.execution_scores.len() != specs.len()
-                {
-                    return Err(TraceError::Parse(
-                        "game player counts are inconsistent".into(),
-                    ));
-                }
-                Ok(TraceEvent::Game { specs, rules, play })
-            }
-            "single" => Ok(TraceEvent::Single {
-                spec: parse_spec(field(value, "spec")?)?,
-                run: ObservedRun {
-                    observed_time: get_f64(value, "time")?,
-                    started_at: parse_time(value, "start")?,
-                    elapsed: get_f64(value, "elapsed")?,
-                },
-            }),
-            "observe" => Ok(TraceEvent::Observe {
-                spec: parse_spec(field(value, "spec")?)?,
-                start: parse_time(value, "at")?,
-                salt: get_u64(value, "salt")?,
-                time: get_f64(value, "time")?,
-            }),
-            "fork" => Ok(TraceEvent::Fork {
-                seed: get_u64(value, "seed")?,
-            }),
-            other => Err(TraceError::Parse(format!("unknown trace op {other:?}"))),
-        }
     }
 }
 
@@ -955,17 +903,13 @@ impl ExecutionBackend for ReplayBackend {
     }
 }
 
-// ---------- JSON helpers ----------
+// ---------- encoding ----------
 
 /// Writes an f64 for the trace format. This is [`json::push_f64`] — the non-finite
 /// string encoding (`"inf"`/`"-inf"`/`"nan"`) started here and is now the shared
 /// wire discipline for every format in the workspace.
 fn push_trace_f64(out: &mut String, value: f64) {
     push_f64(out, value);
-}
-
-fn parse_trace_f64(value: &JsonValue) -> Result<f64, TraceError> {
-    json::parse_f64(value).map_err(TraceError::Parse)
 }
 
 fn push_spec(out: &mut String, spec: &ExecutionSpec) {
@@ -998,71 +942,326 @@ fn push_f64_array(out: &mut String, values: &[f64]) {
     out.push(']');
 }
 
-fn parse_spec(value: &JsonValue) -> Result<ExecutionSpec, TraceError> {
-    let parts = value
-        .as_array()
-        .ok_or_else(|| TraceError::Parse("spec is not an array".into()))?;
-    if parts.len() != 2 {
-        return Err(TraceError::Parse(
-            "spec needs [base_time, sensitivity]".into(),
-        ));
+// ---------- decoding ----------
+
+/// Adds the field name to an error from reading the field's value.
+fn in_field<T>(name: &str, read: Result<T, json::Error>) -> Result<T, json::Error> {
+    read.map_err(|err| err.context(format_args!("field {name:?}")))
+}
+
+/// A field's value, or a "missing field" error at the start of its object.
+fn required<T>(value: Option<T>, name: &str, at: usize) -> Result<T, json::Error> {
+    value.ok_or_else(|| json::Error::new(at, format!("missing field {name:?}")))
+}
+
+fn read_string(r: &mut Reader<'_>) -> Result<String, json::Error> {
+    r.read_str().map(Cow::into_owned)
+}
+
+/// Reads the trace object: campaign name, fingerprint, and the streams in document
+/// order. In this object and every one below it, the first occurrence of a key wins
+/// and later ones, like unknown keys, are only syntax-checked.
+fn read_trace(r: &mut Reader<'_>) -> Result<(String, u64, Vec<TraceStream>), json::Error> {
+    let at = r.offset();
+    let (mut campaign, mut fingerprint, mut streams) = (None, None, None);
+    r.begin_object()?;
+    while let Some(name) = r.next_key()? {
+        match &*name {
+            "campaign" if campaign.is_none() => {
+                campaign = Some(in_field(&name, read_string(r))?);
+            }
+            "fingerprint" if fingerprint.is_none() => {
+                fingerprint = Some(in_field(&name, r.read_u64())?);
+            }
+            "streams" if streams.is_none() => {
+                in_field(&name, r.begin_array())?;
+                let mut list = Vec::new();
+                while r.next_item()? {
+                    list.push(read_stream(r, list.len())?);
+                }
+                streams = Some(list);
+            }
+            _ => r.skip_value()?,
+        }
     }
-    let base_time = parse_trace_f64(&parts[0])?;
-    let sensitivity = parse_trace_f64(&parts[1])?;
+    Ok((
+        required(campaign, "campaign", at)?,
+        required(fingerprint, "fingerprint", at)?,
+        required(streams, "streams", at)?,
+    ))
+}
+
+/// A stream's fields as read so far.
+#[derive(Default)]
+struct StreamFields {
+    key: Option<String>,
+    vm: Option<String>,
+    profile: Option<String>,
+    seed: Option<u64>,
+    failure: Option<String>,
+    events: Option<Vec<TraceEvent>>,
+}
+
+impl StreamFields {
+    fn read(&mut self, r: &mut Reader<'_>) -> Result<(), json::Error> {
+        r.begin_object()?;
+        while let Some(name) = r.next_key()? {
+            match &*name {
+                "key" if self.key.is_none() => self.key = Some(in_field(&name, read_string(r))?),
+                "vm" if self.vm.is_none() => self.vm = Some(in_field(&name, read_string(r))?),
+                "profile" if self.profile.is_none() => {
+                    self.profile = Some(in_field(&name, read_string(r))?);
+                }
+                "seed" if self.seed.is_none() => self.seed = Some(in_field(&name, r.read_u64())?),
+                "failure" if self.failure.is_none() => {
+                    self.failure = Some(in_field(&name, read_string(r))?);
+                }
+                "events" if self.events.is_none() => {
+                    in_field(&name, r.begin_array())?;
+                    let mut events = Vec::new();
+                    while r.next_item()? {
+                        let event = read_event(r)
+                            .map_err(|err| err.context(format_args!("event {}", events.len())))?;
+                        events.push(event);
+                    }
+                    self.events = Some(events);
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Reads the `index`-th stream. Its errors name the stream by key once the key has
+/// been read, by position before that.
+fn read_stream(r: &mut Reader<'_>, index: usize) -> Result<TraceStream, json::Error> {
+    let at = r.offset();
+    let mut fields = StreamFields::default();
+    let read = fields.read(r);
+    let named = |err: json::Error| match &fields.key {
+        Some(key) => err.context(format_args!("stream {key:?}")),
+        None => err.context(format_args!("stream #{index}")),
+    };
+    read.map_err(named)?;
+    let vm = required(fields.vm, "vm", at).map_err(named)?;
+    let profile = required(fields.profile, "profile", at).map_err(named)?;
+    let seed = required(fields.seed, "seed", at).map_err(named)?;
+    let events = required(fields.events, "events", at).map_err(named)?;
+    let key = required(fields.key, "key", at)
+        .map_err(|err| err.context(format_args!("stream #{index}")))?;
+    Ok(TraceStream {
+        key,
+        vm,
+        profile,
+        seed,
+        failure: fields.failure,
+        events,
+    })
+}
+
+/// The operation an event records (its `"op"`).
+enum Op {
+    Game,
+    Single,
+    Observe,
+    Fork,
+}
+
+fn read_op(r: &mut Reader<'_>) -> Result<Op, json::Error> {
+    let at = r.offset();
+    match &*r.read_str()? {
+        "game" => Ok(Op::Game),
+        "single" => Ok(Op::Single),
+        "observe" => Ok(Op::Observe),
+        "fork" => Ok(Op::Fork),
+        other => Err(json::Error::new(at, format!("unknown trace op {other:?}"))),
+    }
+}
+
+/// A field's first occurrence, decoded: its value, or the error decoding it gave.
+type Slot<T> = Option<Result<T, json::Error>>;
+
+/// An event's fields. Each key has one type whatever the op, so every value is
+/// decoded as it passes, in any key order; a value error is kept in its slot and
+/// raised only if the op reads the field.
+#[derive(Default)]
+struct EventFields {
+    op: Slot<Op>,
+    specs: Slot<Vec<ExecutionSpec>>,
+    rules: Slot<GameRules>,
+    start: Slot<SimTime>,
+    elapsed: Slot<f64>,
+    times: Slot<Vec<f64>>,
+    scores: Slot<Vec<f64>>,
+    early: Slot<bool>,
+    spec: Slot<ExecutionSpec>,
+    time: Slot<f64>,
+    at: Slot<SimTime>,
+    salt: Slot<u64>,
+    seed: Slot<u64>,
+}
+
+/// Fills `slot` from the value at the cursor, unless the key was seen before. A value
+/// that fails to decode is still read past, syntax-checked, from its start.
+fn fill<'a, T>(
+    slot: &mut Slot<T>,
+    name: &str,
+    r: &mut Reader<'a>,
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T, json::Error>,
+) -> Result<(), json::Error> {
+    if slot.is_some() {
+        return r.skip_value();
+    }
+    let mark = r.mark();
+    let value = in_field(name, decode(r));
+    if value.is_err() {
+        r.rewind(mark);
+        r.skip_value()?;
+    }
+    *slot = Some(value);
+    Ok(())
+}
+
+/// A field the op reads: its value, its decoding error, or a "missing field" error.
+fn take<T>(slot: Slot<T>, name: &str, at: usize) -> Result<T, json::Error> {
+    required(slot, name, at)?
+}
+
+fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, json::Error> {
+    let at = r.offset();
+    let mut f = EventFields::default();
+    r.begin_object()?;
+    while let Some(name) = r.next_key()? {
+        match &*name {
+            "op" => fill(&mut f.op, &name, r, read_op)?,
+            "specs" => fill(&mut f.specs, &name, r, |r| read_list(r, read_spec))?,
+            "rules" => fill(&mut f.rules, &name, r, read_rules)?,
+            "start" => fill(&mut f.start, &name, r, read_time)?,
+            "elapsed" => fill(&mut f.elapsed, &name, r, Reader::read_f64)?,
+            "times" => fill(&mut f.times, &name, r, |r| read_list(r, Reader::read_f64))?,
+            "scores" => fill(&mut f.scores, &name, r, |r| read_list(r, Reader::read_f64))?,
+            "early" => fill(&mut f.early, &name, r, Reader::read_bool)?,
+            "spec" => fill(&mut f.spec, &name, r, read_spec)?,
+            "time" => fill(&mut f.time, &name, r, Reader::read_f64)?,
+            "at" => fill(&mut f.at, &name, r, read_time)?,
+            "salt" => fill(&mut f.salt, &name, r, Reader::read_u64)?,
+            "seed" => fill(&mut f.seed, &name, r, Reader::read_u64)?,
+            _ => r.skip_value()?,
+        }
+    }
+    Ok(match take(f.op, "op", at)? {
+        Op::Game => {
+            let specs = take(f.specs, "specs", at)?;
+            let rules = take(f.rules, "rules", at)?;
+            let play = GamePlay {
+                start: take(f.start, "start", at)?,
+                elapsed: take(f.elapsed, "elapsed", at)?,
+                observed_times: take(f.times, "times", at)?,
+                execution_scores: take(f.scores, "scores", at)?,
+                early_terminated: take(f.early, "early", at)?,
+            };
+            if play.observed_times.len() != specs.len()
+                || play.execution_scores.len() != specs.len()
+            {
+                return Err(json::Error::new(at, "game player counts are inconsistent"));
+            }
+            TraceEvent::Game { specs, rules, play }
+        }
+        Op::Single => TraceEvent::Single {
+            spec: take(f.spec, "spec", at)?,
+            run: ObservedRun {
+                observed_time: take(f.time, "time", at)?,
+                started_at: take(f.start, "start", at)?,
+                elapsed: take(f.elapsed, "elapsed", at)?,
+            },
+        },
+        Op::Observe => TraceEvent::Observe {
+            spec: take(f.spec, "spec", at)?,
+            start: take(f.at, "at", at)?,
+            salt: take(f.salt, "salt", at)?,
+            time: take(f.time, "time", at)?,
+        },
+        Op::Fork => TraceEvent::Fork {
+            seed: take(f.seed, "seed", at)?,
+        },
+    })
+}
+
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, json::Error>,
+) -> Result<Vec<T>, json::Error> {
+    r.begin_array()?;
+    let mut items = Vec::new();
+    while r.next_item()? {
+        items.push(item(r)?);
+    }
+    Ok(items)
+}
+
+/// Reads an array of exactly `len` items, handing each reader position to `item`
+/// with its index.
+fn read_tuple<'a>(
+    r: &mut Reader<'a>,
+    len: usize,
+    what: &str,
+    mut item: impl FnMut(&mut Reader<'a>, usize) -> Result<(), json::Error>,
+) -> Result<(), json::Error> {
+    let at = r.offset();
+    let wrong_len = || json::Error::new(at, format!("{what} needs {len} entries"));
+    r.begin_array()?;
+    let mut n = 0;
+    while r.next_item()? {
+        if n == len {
+            return Err(wrong_len());
+        }
+        item(r, n)?;
+        n += 1;
+    }
+    if n == len {
+        Ok(())
+    } else {
+        Err(wrong_len())
+    }
+}
+
+fn read_spec(r: &mut Reader<'_>) -> Result<ExecutionSpec, json::Error> {
+    let at = r.offset();
+    let mut parts = [0.0; 2];
+    read_tuple(r, 2, "spec [base_time, sensitivity]", |r, i| {
+        parts[i] = r.read_f64()?;
+        Ok(())
+    })?;
+    let [base_time, sensitivity] = parts;
     if !(base_time.is_finite() && base_time > 0.0 && sensitivity.is_finite() && sensitivity >= 0.0)
     {
-        return Err(TraceError::Parse(format!(
-            "invalid spec [{base_time}, {sensitivity}]"
-        )));
+        return Err(json::Error::new(
+            at,
+            format!("invalid spec [{base_time}, {sensitivity}]"),
+        ));
     }
     Ok(ExecutionSpec::new(base_time, sensitivity))
 }
 
-fn field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a JsonValue, TraceError> {
-    value
-        .get(key)
-        .ok_or_else(|| TraceError::Parse(format!("missing field {key:?}")))
+fn read_rules(r: &mut Reader<'_>) -> Result<GameRules, json::Error> {
+    let mut rules = GameRules::default();
+    read_tuple(r, 3, "rules", |r, i| {
+        match i {
+            0 => rules.early_termination = r.read_bool()?,
+            1 => rules.work_done_deviation = r.read_f64()?,
+            _ => rules.min_leader_progress = r.read_f64()?,
+        }
+        Ok(())
+    })?;
+    Ok(rules)
 }
 
-fn get_str(value: &JsonValue, key: &str) -> Result<String, TraceError> {
-    field(value, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| TraceError::Parse(format!("field {key:?} is not a string")))
-}
-
-fn get_u64(value: &JsonValue, key: &str) -> Result<u64, TraceError> {
-    field(value, key)?
-        .number_token()
-        .and_then(|t| t.parse::<u64>().ok())
-        .ok_or_else(|| TraceError::Parse(format!("field {key:?} is not a u64")))
-}
-
-fn get_f64(value: &JsonValue, key: &str) -> Result<f64, TraceError> {
-    parse_trace_f64(field(value, key)?)
-}
-
-fn get_array<'a>(value: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], TraceError> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| TraceError::Parse(format!("field {key:?} is not an array")))
-}
-
-fn get_f64_array(value: &JsonValue, key: &str) -> Result<Vec<f64>, TraceError> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| TraceError::Parse(format!("field {key:?} is not an array")))?
-        .iter()
-        .map(parse_trace_f64)
-        .collect()
-}
-
-fn parse_time(value: &JsonValue, key: &str) -> Result<SimTime, TraceError> {
-    let seconds = get_f64(value, key)?;
+fn read_time(r: &mut Reader<'_>) -> Result<SimTime, json::Error> {
+    let at = r.offset();
+    let seconds = r.read_f64()?;
     if !seconds.is_finite() || seconds < 0.0 {
-        return Err(TraceError::Parse(format!(
-            "field {key:?} is not a valid time: {seconds}"
-        )));
+        return Err(json::Error::new(at, format!("not a valid time: {seconds}")));
     }
     Ok(SimTime::from_seconds(seconds))
 }
@@ -1131,14 +1330,12 @@ mod tests {
         for v in [f64::INFINITY, f64::NEG_INFINITY, 1.5, -0.0] {
             out.clear();
             push_trace_f64(&mut out, v);
-            let parsed = parse_trace_f64(&json::parse(&out).unwrap()).unwrap();
+            let parsed = Reader::new(&out).read_f64().unwrap();
             assert_eq!(parsed.to_bits(), v.to_bits());
         }
         out.clear();
         push_trace_f64(&mut out, f64::NAN);
-        assert!(parse_trace_f64(&json::parse(&out).unwrap())
-            .unwrap()
-            .is_nan());
+        assert!(Reader::new(&out).read_f64().unwrap().is_nan());
     }
 
     #[test]
@@ -1155,6 +1352,40 @@ mod tests {
                 "{bad:?} must fail to parse"
             );
         }
+
+        // Errors name the byte offset, and the stream and event they occurred in.
+        let message = |doc: &str| ExecutionTrace::from_json(doc).unwrap_err().to_string();
+        let head = "{\"campaign\":\"x\",\"fingerprint\":1,\"streams\":[";
+        let stream = "{\"key\":\"cell-2\",\"vm\":\"m\",\"profile\":\"p\",\"seed\":1,\"events\":[";
+        let fork = "{\"op\":\"fork\",\"seed\":5}";
+        let game = "{\"op\":\"game\",\"specs\":[[1,0]],\"rules\":[true,0.1,0.25],\
+                    \"start\":0,\"elapsed\":1,\"scores\":[1],\"early\":false}";
+        let doc = format!("{head}{stream}{fork},{game}]}}]}}");
+        let at = doc.find("{\"op\":\"game\"").unwrap();
+        assert_eq!(
+            message(&doc),
+            format!(
+                "trace parse error: stream \"cell-2\": event 1: missing field \"times\" \
+                 at byte {at}"
+            )
+        );
+        // A bad value names its field; before the key is read, the stream goes by
+        // its position.
+        let doc =
+            format!("{head}{stream}]}},{{\"events\":[{fork},{{\"op\":\"fork\",\"seed\":-1}}]}}]}}");
+        let at = doc.rfind("-1").unwrap();
+        assert_eq!(
+            message(&doc),
+            format!(
+                "trace parse error: stream #1: event 1: field \"seed\": -1 is not a u64 \
+                 at byte {at}"
+            )
+        );
+        // Syntax errors carry their offset.
+        assert_eq!(
+            message("{\"campaign\":\"x\",}"),
+            "trace parse error: unexpected character '}' at byte 16"
+        );
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   registry with one canonical-JSON [`MetricsSnapshot`] export. The scattered
 //!   counters that predate this crate (`sim_ops()`, `process_launches()`, surrogate
 //!   and memo statistics) are now thin shims over registry counters.
-//! * **Canonical JSON** — the hand-rolled writer/parser every wire format in the
-//!   workspace shares lives here as [`json`] (it moved down from `dg-exec`, which
-//!   re-exports it).
+//! * **Canonical JSON** — the hand-rolled writer and the one pull reader every wire
+//!   format in the workspace shares live here as [`json`] (moved down from
+//!   `dg-exec`, which re-exports it).
 //!
 //! # Quick example
 //!
