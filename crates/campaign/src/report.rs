@@ -345,6 +345,9 @@ impl CampaignReport {
             group.to_json(&mut out);
         }
         out.push_str("]}");
+        // The estimate above undershoots, so the buffer has doubled past the text;
+        // callers may keep many reports, so return it at its exact size.
+        out.shrink_to_fit();
         out
     }
 
@@ -417,6 +420,21 @@ mod tests {
                 cell(3, "BLISS", 1, 95.0),
             ],
         )
+    }
+
+    #[test]
+    fn to_json_returns_a_string_sized_to_its_length() {
+        let tuners = ["RandomSearch", "BLISS", "NTBEA"];
+        let cells = (0..48)
+            .map(|i| cell(i, tuners[i % 3], i as u64 / 3, 100.0 + i as f64 / 7.0))
+            .collect();
+        let json = CampaignReport::from_cells("unit".into(), 48, 48, false, cells).to_json();
+        assert!(
+            json.capacity() <= json.len() + json.len() / 32,
+            "{} bytes of capacity for {} bytes of JSON",
+            json.capacity(),
+            json.len()
+        );
     }
 
     #[test]

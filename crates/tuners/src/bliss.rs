@@ -2,7 +2,7 @@
 
 use crate::activeharmony::{config_to_vector, vector_to_config};
 use crate::evaluator::{CloudEvaluator, TuningBudget};
-use crate::gp::GaussianProcess;
+use crate::gp::{expected_improvement, GaussianProcess, PredictScratch};
 use crate::outcome::TuningOutcome;
 use crate::tuner::Tuner;
 use dg_cloudsim::SimRng;
@@ -12,14 +12,19 @@ use dg_workloads::{ConfigId, Workload};
 /// Number of candidate configurations scored by the acquisition function per iteration.
 const CANDIDATE_POOL: usize = 192;
 
-/// Maximum number of (most recent) observations each model is fit to, bounding the
-/// cubic-cost Cholesky factorisation.
+/// Maximum number of (most recent) observations each model is fit to. A fit factors
+/// only the observations new since the model's last fit, at O(n²) each; once the
+/// window slides, its first row changes and the model refactors at O(n³).
 const FIT_WINDOW: usize = 120;
 
 /// BLISS [Roy et al., PLDI'21]: instead of one heavyweight Bayesian-optimisation model,
 /// keep a pool of cheap models (here: Gaussian processes with different length scales)
 /// and probabilistically pick which model drives each sampling decision, favouring the
 /// models whose recent predictions were most accurate.
+///
+/// Each iteration fits only the model it picked (the others catch up when next
+/// picked) and scores the whole candidate pool with one batched
+/// [`GaussianProcess::predict_many`].
 #[derive(Debug, Clone)]
 pub struct Bliss {
     seed: u64,
@@ -101,70 +106,82 @@ impl Tuner for Bliss {
 
         // Warm-up with random samples (BLISS seeds its models the same way).
         let warmup = (budget.max_evaluations / 8).clamp(4, 24);
-        let mut observations: Vec<(ConfigId, Vec<f64>, f64)> = Vec::new();
+        let mut inputs: Vec<Vec<f64>> = Vec::new();
+        let mut targets: Vec<f64> = Vec::new();
         for _ in 0..warmup {
             if evaluator.exhausted() {
                 break;
             }
             let id = ((rng.uniform() * size as f64) as u64).min(size - 1);
             let observed = evaluator.evaluate(id);
-            observations.push((id, config_to_vector(workload, id), observed));
+            if observed.is_finite() {
+                inputs.push(config_to_vector(workload, id));
+                targets.push(observed);
+            }
         }
 
+        let mut candidates: Vec<ConfigId> = Vec::with_capacity(CANDIDATE_POOL + 1);
+        let mut vectors: Vec<Vec<f64>> = Vec::with_capacity(CANDIDATE_POOL + 1);
+        let mut scratch = PredictScratch::default();
         while !evaluator.exhausted() {
-            // Fit every model on the most recent window of observations.
-            let window_start = observations.len().saturating_sub(FIT_WINDOW);
-            let window = &observations[window_start..];
-            let inputs: Vec<Vec<f64>> = window.iter().map(|(_, x, _)| x.clone()).collect();
-            let targets: Vec<f64> = window.iter().map(|(_, _, y)| *y).collect();
             if inputs.is_empty() {
                 break;
             }
-            for slot in &mut models {
-                slot.gp.fit(&inputs, &targets);
-            }
+            let window_start = inputs.len().saturating_sub(FIT_WINDOW);
 
-            // Probabilistically select a model, weighted by recent accuracy.
+            // Probabilistically select a model, weighted by recent accuracy, and fit it
+            // on the most recent window of observations. Fitting draws no randomness;
+            // a model that sat out catches up on the observations it missed.
             let weights: Vec<f64> = models.iter().map(ModelSlot::weight).collect();
             let model_index = rng.weighted_index(&weights);
+            let gp = &mut models[model_index].gp;
+            gp.fit(&inputs[window_start..], &targets[window_start..]);
 
-            // Score a candidate pool with expected improvement.
-            let best_observed = targets.iter().copied().fold(f64::INFINITY, f64::min);
-            let mut best_candidate: Option<(ConfigId, f64)> = None;
+            // Draw a candidate pool, plus a local perturbation of the incumbent, which
+            // keeps the search from ignoring the neighbourhood of the best-known
+            // configuration.
+            candidates.clear();
+            vectors.clear();
             for _ in 0..CANDIDATE_POOL {
                 let candidate = ((rng.uniform() * size as f64) as u64).min(size - 1);
-                let vector = config_to_vector(workload, candidate);
-                let ei = models[model_index]
-                    .gp
-                    .expected_improvement(&vector, best_observed);
-                if best_candidate.map_or(true, |(_, best_ei)| ei > best_ei) {
-                    best_candidate = Some((candidate, ei));
-                }
+                candidates.push(candidate);
+                vectors.push(config_to_vector(workload, candidate));
             }
-            // Also consider a local perturbation of the incumbent, which keeps the search
-            // from ignoring the neighbourhood of the best-known configuration.
             if let Some(best) = evaluator.best() {
                 let mut vector = config_to_vector(workload, best.config);
                 if !vector.is_empty() {
                     let dim = rng.index(vector.len());
                     vector[dim] = (vector[dim] + rng.normal_with(0.0, 0.2)).clamp(0.0, 1.0);
                 }
-                let candidate = vector_to_config(workload, &vector);
-                let ei = models[model_index]
-                    .gp
-                    .expected_improvement(&vector, best_observed);
+                candidates.push(vector_to_config(workload, &vector));
+                vectors.push(vector);
+            }
+
+            // Score the pool with expected improvement; strict `>` keeps the first of
+            // tied candidates.
+            let best_observed = targets[window_start..]
+                .iter()
+                .copied()
+                .fold(f64::INFINITY, f64::min);
+            let mut best_candidate: Option<(ConfigId, f64)> = None;
+            let predictions = gp.predict_many(&vectors, &mut scratch);
+            for (&candidate, (mean, std_dev)) in candidates.iter().zip(predictions) {
+                let ei = expected_improvement(mean, std_dev, best_observed);
                 if best_candidate.map_or(true, |(_, best_ei)| ei > best_ei) {
                     best_candidate = Some((candidate, ei));
                 }
             }
 
             let (chosen_candidate, _) = best_candidate.expect("candidate pool is never empty");
+            // The perturbed vector may sit between grid levels, so the model's
+            // prediction is taken at the chosen configuration's own vector.
             let vector = config_to_vector(workload, chosen_candidate);
-            let (predicted, _) = models[model_index].gp.predict(&vector);
+            let (predicted, _) = gp.predict(&vector);
             let observed = evaluator.evaluate(chosen_candidate);
             if observed.is_finite() {
                 models[model_index].record_error((observed - predicted).abs());
-                observations.push((chosen_candidate, vector, observed));
+                inputs.push(vector);
+                targets.push(observed);
             }
         }
 
@@ -176,7 +193,12 @@ impl Tuner for Bliss {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
+    use crate::SampleRecord;
+    use dg_cloudsim::{
+        CloudEnvironment, CostTracker, ExecutionSpec, InterferenceProfile, ObservedRun, SimTime,
+        VmType,
+    };
+    use dg_exec::{GamePlay, GameRules};
     use dg_workloads::Application;
 
     #[test]
@@ -231,6 +253,91 @@ mod tests {
                 .chosen
         };
         assert_eq!(run(), run());
+    }
+
+    /// A simulated node whose first solo run reports `f64::INFINITY`, as a process
+    /// backend reports a run it could not measure.
+    struct FirstRunFails {
+        inner: CloudEnvironment,
+        failed: bool,
+    }
+
+    impl ExecutionBackend for FirstRunFails {
+        fn vm(&self) -> VmType {
+            ExecutionBackend::vm(&self.inner)
+        }
+        fn profile(&self) -> &InterferenceProfile {
+            ExecutionBackend::profile(&self.inner)
+        }
+        fn seed(&self) -> u64 {
+            ExecutionBackend::seed(&self.inner)
+        }
+        fn clock(&self) -> SimTime {
+            ExecutionBackend::clock(&self.inner)
+        }
+        fn set_clock(&mut self, t: SimTime) {
+            ExecutionBackend::set_clock(&mut self.inner, t);
+        }
+        fn cost(&self) -> &CostTracker {
+            ExecutionBackend::cost(&self.inner)
+        }
+        fn play_game(&mut self, specs: &[ExecutionSpec], rules: &GameRules) -> GamePlay {
+            ExecutionBackend::play_game(&mut self.inner, specs, rules)
+        }
+        fn run_single(&mut self, spec: ExecutionSpec) -> ObservedRun {
+            let mut run = ExecutionBackend::run_single(&mut self.inner, spec);
+            if !self.failed {
+                self.failed = true;
+                run.observed_time = f64::INFINITY;
+            }
+            run
+        }
+        fn observe_single_at(&mut self, spec: ExecutionSpec, start: SimTime, salt: u64) -> f64 {
+            ExecutionBackend::observe_single_at(&mut self.inner, spec, start, salt)
+        }
+        fn commit(&mut self, play: &GamePlay) {
+            ExecutionBackend::commit(&mut self.inner, play);
+        }
+        fn commit_parallel(&mut self, plays: &[GamePlay]) {
+            ExecutionBackend::commit_parallel(&mut self.inner, plays);
+        }
+        fn fork(&mut self, seed: u64) -> Box<dyn ExecutionBackend> {
+            ExecutionBackend::fork(&mut self.inner, seed)
+        }
+    }
+
+    #[test]
+    fn a_failed_warm_up_run_is_left_out_of_the_models() {
+        // An infinite target would make every prediction NaN, and BLISS would then take
+        // the first random candidate of each pool: no better than its random warm-up.
+        let workload = Workload::scaled(Application::Redis, 20_000);
+        let warmup = 12;
+        let mean_base_time = |samples: &[SampleRecord]| {
+            samples
+                .iter()
+                .map(|s| workload.base_time(s.config))
+                .sum::<f64>()
+                / samples.len() as f64
+        };
+        for seed in 0..5u64 {
+            let mut node = FirstRunFails {
+                inner: CloudEnvironment::new(
+                    VmType::M5_8xlarge,
+                    InterferenceProfile::typical(),
+                    100 + seed,
+                ),
+                failed: false,
+            };
+            let outcome =
+                Bliss::new(seed).tune(&workload, &mut node, TuningBudget::evaluations(100));
+            assert!(outcome.history[0].observed_time.is_infinite());
+            let random = mean_base_time(&outcome.history[1..warmup]);
+            let guided = mean_base_time(&outcome.history[warmup..]);
+            assert!(
+                guided < 0.9 * random,
+                "seed {seed}: model-guided samples average {guided:.1} s, random ones {random:.1} s"
+            );
+        }
     }
 
     #[test]

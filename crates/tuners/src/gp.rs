@@ -2,8 +2,26 @@
 //!
 //! BLISS maintains a pool of lightweight Bayesian-optimisation models; each model here is
 //! a Gaussian process with an RBF kernel of a particular length scale. The implementation
-//! is intentionally minimal (dense Cholesky, no hyper-parameter optimisation) because the
-//! model pool — not any individual model — is what the BLISS design relies on.
+//! is intentionally minimal (no hyper-parameter optimisation) because the model pool —
+//! not any individual model — is what the BLISS design relies on.
+//!
+//! Two things keep it cheap inside a tuning loop, without changing a single output bit
+//! relative to a dense refit and one solve per point:
+//!
+//! * [`fit`](GaussianProcess::fit) keeps the rows of the packed Cholesky factor whose
+//!   inputs are unchanged since the last fit and factors only the new rows, so growing
+//!   the data by one observation costs O(n²); a changed prefix (a sliding window)
+//!   refactors from row 0. The factorisation is row-oriented (Cholesky–Banachiewicz):
+//!   row `i` depends only on rows `0..=i`, so kept rows are the floats a full refactor
+//!   would produce.
+//! * [`predict_many`](GaussianProcess::predict_many) scores a batch of points with one
+//!   forward solve blocked across the batch. Every point's sums run in the same order,
+//!   from the same starting value, as the one-point solve, so the blocked results are
+//!   bit-identical to it; [`predict`](GaussianProcess::predict) is the one-point batch.
+//!   Building the kernel block skips dimensions that are zero in every input and point
+//!   (pinned parameters), which add exactly `+0.0` to a squared distance, and computes
+//!   the `exp` of each distinct squared distance once (grid inputs repeat a few hundred
+//!   distances across a whole block).
 
 /// A Gaussian process with a radial-basis-function kernel, fit to normalised inputs in
 /// `[0, 1]^d`.
@@ -14,10 +32,30 @@ pub struct GaussianProcess {
     inputs: Vec<Vec<f64>>,
     /// `(K + noise * I)^-1 * (y - mean)` from the last fit.
     alpha: Vec<f64>,
-    /// Cholesky factor `L` of `K + noise * I` (lower triangular, row-major).
-    cholesky: Vec<Vec<f64>>,
+    /// Cholesky factor `L` of `K + noise * I`, lower triangle packed by rows: row `i`
+    /// holds `L[i][0..=i]` at offset `i * (i + 1) / 2`.
+    cholesky: Vec<f64>,
     y_mean: f64,
     y_std: f64,
+}
+
+/// The starting value of `Iterator::<Item = f64>::sum`, which the blocked sums must
+/// share to stay bit-identical to the one-point solve.
+fn sum_start() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// Points per tile of a [`GaussianProcess::predict_many`] batch: a tile's kernel
+/// block (inputs × tile) stays in cache while it is solved.
+const TILE: usize = 64;
+
+/// Offset of row `i` in the packed lower triangle.
+fn row_start(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl GaussianProcess {
@@ -50,20 +88,26 @@ impl GaussianProcess {
         !self.inputs.is_empty()
     }
 
+    /// The RBF kernel of a squared distance.
+    fn kernel_of(&self, squared: f64) -> f64 {
+        (-squared / (2.0 * self.length_scale * self.length_scale)).exp()
+    }
+
     fn kernel(&self, a: &[f64], b: &[f64]) -> f64 {
         let squared: f64 = a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum();
-        (-squared / (2.0 * self.length_scale * self.length_scale)).exp()
+        self.kernel_of(squared)
     }
 
     /// Fits the GP to `(inputs, targets)`.
     ///
     /// Targets are standardised internally so callers can pass raw execution times.
+    /// Rows of the factor whose inputs (bit for bit, from the first one on) match the
+    /// previous fit's are kept; only the rest are factored.
     ///
     /// # Panics
     ///
-    /// Panics if the inputs and targets differ in length or are empty.
-    // Index-based loops keep the triangular Cholesky recurrences in textbook form.
-    #[allow(clippy::needless_range_loop)]
+    /// Panics if the inputs and targets differ in length or are empty, or if the inputs
+    /// differ in dimension.
     pub fn fit(&mut self, inputs: &[Vec<f64>], targets: &[f64]) {
         assert_eq!(
             inputs.len(),
@@ -71,62 +115,193 @@ impl GaussianProcess {
             "inputs/targets length mismatch"
         );
         assert!(!inputs.is_empty(), "cannot fit a GP to zero observations");
+        assert!(
+            inputs.iter().all(|x| x.len() == inputs[0].len()),
+            "input dimension mismatch"
+        );
         let n = inputs.len();
         self.y_mean = dg_stats::mean(targets);
         self.y_std = dg_stats::std_dev(targets).max(1e-9);
-        let standardized: Vec<f64> = targets
+
+        let kept = self
+            .inputs
             .iter()
-            .map(|y| (y - self.y_mean) / self.y_std)
-            .collect();
-
-        // Build K + noise * I.
-        let mut matrix = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..=i {
-                let k = self.kernel(&inputs[i], &inputs[j]);
-                matrix[i][j] = k;
-                matrix[j][i] = k;
-            }
-            matrix[i][i] += self.noise;
+            .zip(inputs)
+            .take_while(|(old, new)| same_bits(old, new))
+            .count();
+        self.inputs.truncate(kept);
+        self.cholesky.truncate(row_start(kept));
+        for (i, input) in inputs.iter().enumerate().skip(kept) {
+            self.push_row(input, &inputs[..i]);
         }
-
-        // Cholesky decomposition (matrix = L * L^T).
-        let mut l = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = matrix[i][j];
-                for k in 0..j {
-                    sum -= l[i][k] * l[j][k];
-                }
-                if i == j {
-                    l[i][j] = sum.max(1e-12).sqrt();
-                } else {
-                    l[i][j] = sum / l[j][j];
-                }
-            }
-        }
+        self.inputs.extend_from_slice(&inputs[kept..]);
 
         // Solve L z = y, then L^T alpha = z.
+        let l = &self.cholesky;
         let mut z = vec![0.0; n];
         for i in 0..n {
-            let mut sum = standardized[i];
-            for k in 0..i {
-                sum -= l[i][k] * z[k];
+            let row = &l[row_start(i)..row_start(i + 1)];
+            let mut sum = (targets[i] - self.y_mean) / self.y_std;
+            for (a, z_k) in row.iter().zip(&z[..i]) {
+                sum -= a * z_k;
             }
-            z[i] = sum / l[i][i];
+            z[i] = sum / row[i];
         }
         let mut alpha = vec![0.0; n];
         for i in (0..n).rev() {
             let mut sum = z[i];
-            for k in i + 1..n {
-                sum -= l[k][i] * alpha[k];
+            for (k, a) in alpha.iter().enumerate().skip(i + 1) {
+                sum -= l[row_start(k) + i] * a;
             }
-            alpha[i] = sum / l[i][i];
+            alpha[i] = sum / l[row_start(i) + i];
+        }
+        self.alpha = alpha;
+    }
+
+    /// Appends row `i = earlier.len()` of the factor of `K + noise * I` for `input`,
+    /// given the inputs of rows `0..i`: `L[i][j]` for `j = 0..=i` in turn.
+    fn push_row(&mut self, input: &[f64], earlier: &[Vec<f64>]) {
+        let i = earlier.len();
+        let start = row_start(i);
+        for j in 0..=i {
+            let mut sum = if j == i {
+                self.kernel(input, input) + self.noise
+            } else {
+                self.kernel(input, &earlier[j])
+            };
+            let l = &self.cholesky;
+            let (row_i, row_j) = (&l[start..start + j], &l[row_start(j)..row_start(j) + j]);
+            for (a, b) in row_i.iter().zip(row_j) {
+                sum -= a * b;
+            }
+            let value = if j == i {
+                sum.max(1e-12).sqrt()
+            } else {
+                sum / l[row_start(j) + j]
+            };
+            self.cholesky.push(value);
+        }
+    }
+
+    /// Predictive mean and standard deviation at each of `points` (in the original
+    /// target units), bit-identical to calling [`predict`](Self::predict) on each.
+    ///
+    /// Passing the same `scratch` on every call saves reallocating its buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the GP has not been fit, or if a point's dimension differs from the
+    /// inputs'.
+    pub fn predict_many<P: AsRef<[f64]>>(
+        &self,
+        points: &[P],
+        scratch: &mut PredictScratch,
+    ) -> Vec<(f64, f64)> {
+        assert!(self.is_fit(), "predict called before fit");
+        let width = self.inputs[0].len();
+        assert!(
+            points.iter().all(|p| p.as_ref().len() == width),
+            "point dimension mismatch"
+        );
+        // Dimensions that are zero in every input and point add exactly +0.0 to each
+        // squared distance, so they are left out.
+        let dims: Vec<usize> = (0..width)
+            .filter(|&d| {
+                self.inputs.iter().any(|x| x[d] != 0.0)
+                    || points.iter().any(|p| p.as_ref()[d] != 0.0)
+            })
+            .collect();
+        scratch
+            .memo
+            .reset(self.kernel_of(0.0), self.inputs.len() * points.len());
+        let mut predictions = Vec::with_capacity(points.len());
+        for tile in points.chunks(TILE) {
+            self.predict_tile(tile, &dims, scratch, &mut predictions);
+        }
+        predictions
+    }
+
+    /// Appends the predictions at `points`, one tile of a batch, to `out`.
+    fn predict_tile<P: AsRef<[f64]>>(
+        &self,
+        points: &[P],
+        dims: &[usize],
+        scratch: &mut PredictScratch,
+        out: &mut Vec<(f64, f64)>,
+    ) {
+        let m = points.len();
+        let PredictScratch {
+            block,
+            columns,
+            memo,
+        } = scratch;
+        columns.clear();
+        for &d in dims {
+            columns.extend(points.iter().map(|p| p.as_ref()[d]));
         }
 
-        self.inputs = inputs.to_vec();
-        self.alpha = alpha;
-        self.cholesky = l;
+        // Row `i` of the block holds k(input_i, point) for every point; each squared
+        // distance sums its dimensions in order, as `kernel` does.
+        block.clear();
+        block.resize(self.inputs.len() * m, sum_start());
+        for (x, row) in self.inputs.iter().zip(block.chunks_exact_mut(m)) {
+            for (&d, column) in dims.iter().zip(columns.chunks_exact(m)) {
+                let x_d = x[d];
+                for (squared, p) in row.iter_mut().zip(column) {
+                    *squared += (x_d - p) * (x_d - p);
+                }
+            }
+            for entry in row.iter_mut() {
+                *entry = memo.get(*entry, |squared| self.kernel_of(squared));
+            }
+        }
+
+        // Per point: mean = k·alpha, then v = L^-1 k in place of k, and
+        // variance = k(x,x) - v·v; row by row, so each point's sums run in `i` order.
+        let mut mean = [sum_start(); TILE];
+        let mut sum_sq = [sum_start(); TILE];
+        for (i, &alpha) in self.alpha.iter().enumerate() {
+            let l = &self.cholesky[row_start(i)..row_start(i + 1)];
+            let (solved, rest) = block.split_at_mut(i * m);
+            let row = &mut rest[..m];
+            for (acc, k) in mean.iter_mut().zip(row.iter()) {
+                *acc += k * alpha;
+            }
+            // Four solved rows per sweep keep each running sum in a register; the
+            // subtractions still run in `k` order.
+            let quads = l[..i].chunks_exact(4).zip(solved.chunks_exact(4 * m));
+            for (l4, v4) in quads {
+                let (v01, v23) = v4.split_at(2 * m);
+                let ((v0, v1), (v2, v3)) = (v01.split_at(m), v23.split_at(m));
+                let v = v0.iter().zip(v1).zip(v2.iter().zip(v3));
+                for (sum, ((a, b), (c, d))) in row.iter_mut().zip(v) {
+                    *sum = *sum - l4[0] * a - l4[1] * b - l4[2] * c - l4[3] * d;
+                }
+            }
+            let tail = i - i % 4;
+            for (lik, v_k) in l[tail..i].iter().zip(solved[tail * m..].chunks_exact(m)) {
+                for (sum, v) in row.iter_mut().zip(v_k) {
+                    *sum -= lik * v;
+                }
+            }
+            for (v, acc) in row.iter_mut().zip(sum_sq.iter_mut()) {
+                *v /= l[i];
+                *acc += *v * *v;
+            }
+        }
+
+        out.extend(
+            mean.iter()
+                .zip(&sum_sq)
+                .take(m)
+                .map(|(mean_standardized, sum_sq)| {
+                    let variance_standardized = (1.0 + self.noise - sum_sq).max(1e-12);
+                    (
+                        mean_standardized * self.y_std + self.y_mean,
+                        variance_standardized.sqrt() * self.y_std,
+                    )
+                }),
+        );
     }
 
     /// Predictive mean and standard deviation at `point` (in the original target units).
@@ -134,33 +309,8 @@ impl GaussianProcess {
     /// # Panics
     ///
     /// Panics if the GP has not been fit.
-    // Index-based loops keep the triangular solves in textbook form.
-    #[allow(clippy::needless_range_loop)]
     pub fn predict(&self, point: &[f64]) -> (f64, f64) {
-        assert!(self.is_fit(), "predict called before fit");
-        let n = self.inputs.len();
-        let k_star: Vec<f64> = self.inputs.iter().map(|x| self.kernel(x, point)).collect();
-        let mean_standardized: f64 = k_star
-            .iter()
-            .zip(self.alpha.iter())
-            .map(|(k, a)| k * a)
-            .sum();
-
-        // v = L^-1 k_star; predictive variance = k(x,x) - v^T v.
-        let mut v = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = k_star[i];
-            for k in 0..i {
-                sum -= self.cholesky[i][k] * v[k];
-            }
-            v[i] = sum / self.cholesky[i][i];
-        }
-        let variance_standardized =
-            (1.0 + self.noise - v.iter().map(|x| x * x).sum::<f64>()).max(1e-12);
-
-        let mean = mean_standardized * self.y_std + self.y_mean;
-        let std_dev = variance_standardized.sqrt() * self.y_std;
-        (mean, std_dev)
+        self.predict_many(&[point], &mut PredictScratch::default())[0]
     }
 
     /// Expected improvement of `point` over the incumbent best target value
@@ -171,13 +321,61 @@ impl GaussianProcess {
     /// Panics if the GP has not been fit.
     pub fn expected_improvement(&self, point: &[f64], best: f64) -> f64 {
         let (mean, std_dev) = self.predict(point);
-        if std_dev < 1e-12 {
-            return (best - mean).max(0.0);
-        }
-        let z = (best - mean) / std_dev;
-        let (pdf, cdf) = standard_normal(z);
-        ((best - mean) * cdf + std_dev * pdf).max(0.0)
+        expected_improvement(mean, std_dev, best)
     }
+}
+
+/// Reusable buffers for [`GaussianProcess::predict_many`].
+#[derive(Debug, Clone, Default)]
+pub struct PredictScratch {
+    /// The `inputs × tile` kernel block, solved in place.
+    block: Vec<f64>,
+    /// The points' non-zero dimensions, one contiguous column per dimension.
+    columns: Vec<f64>,
+    memo: KernelMemo,
+}
+
+/// A direct-mapped cache of kernel values by squared distance. Inputs on a grid
+/// share few distinct distances, and the cache saves an `exp` for each repeat; a slot
+/// always holds a valid `(squared distance, kernel value)` pair, so a miss simply
+/// recomputes and overwrites it.
+#[derive(Debug, Clone, Default)]
+struct KernelMemo {
+    slots: Vec<(u64, f64)>,
+    /// `log2` of the slot count.
+    bits: u32,
+}
+
+impl KernelMemo {
+    /// Resets the cache for a new kernel, whose value at distance zero is `at_zero`,
+    /// sized for about `lookups` lookups (at most 1024 slots).
+    fn reset(&mut self, at_zero: f64, lookups: usize) {
+        self.bits = lookups.next_power_of_two().trailing_zeros().clamp(4, 10);
+        self.slots.clear();
+        self.slots
+            .resize(1 << self.bits, (0.0f64.to_bits(), at_zero));
+    }
+
+    /// The kernel value at `squared`, from the cache or else from `kernel_of`.
+    fn get(&mut self, squared: f64, kernel_of: impl FnOnce(f64) -> f64) -> f64 {
+        let key = squared.to_bits();
+        let index = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - self.bits);
+        let slot = &mut self.slots[index as usize];
+        if slot.0 != key {
+            *slot = (key, kernel_of(squared));
+        }
+        slot.1
+    }
+}
+
+/// Expected improvement over `best` (minimisation) of a prediction `(mean, std_dev)`.
+pub(crate) fn expected_improvement(mean: f64, std_dev: f64, best: f64) -> f64 {
+    if std_dev < 1e-12 {
+        return (best - mean).max(0.0);
+    }
+    let z = (best - mean) / std_dev;
+    let (pdf, cdf) = standard_normal(z);
+    ((best - mean) * cdf + std_dev * pdf).max(0.0)
 }
 
 /// Standard normal PDF and CDF at `z` (Abramowitz–Stegun CDF approximation).

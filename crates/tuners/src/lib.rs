@@ -53,8 +53,8 @@ pub use activeharmony::ActiveHarmony;
 pub use bliss::Bliss;
 pub use evaluator::{CloudEvaluator, TuningBudget};
 pub use exhaustive::ExhaustiveSearch;
-pub use gp::GaussianProcess;
-pub use ntbea::Ntbea;
+pub use gp::{GaussianProcess, PredictScratch};
+pub use ntbea::{Ntbea, TupleModel};
 pub use opentuner::OpenTuner;
 pub use oracle::OracleTuner;
 pub use outcome::{SampleRecord, TuningOutcome};

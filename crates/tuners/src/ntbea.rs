@@ -61,78 +61,117 @@ impl Ntbea {
     }
 }
 
-/// The tuple dimension sets of a `dims`-dimensional space: all 1-tuples, all
-/// 2-tuples, and (beyond two dimensions) the full point.
-fn tuple_sets(dims: usize) -> Vec<Vec<usize>> {
-    let mut tuples = Vec::new();
-    for i in 0..dims {
-        tuples.push(vec![i]);
-    }
-    for i in 0..dims {
-        for j in (i + 1)..dims {
-            tuples.push(vec![i, j]);
-        }
-    }
-    if dims > 2 {
-        tuples.push((0..dims).collect());
-    }
-    tuples
-}
-
-/// Packs the levels of `point` at the dimensions of `tuple` into one mixed-radix key.
-fn pack(point: &[usize], tuple: &[usize], levels: &[usize]) -> u64 {
-    let mut key = 0u64;
-    let mut stride = 1u64;
-    for &dim in tuple {
-        key += point[dim] as u64 * stride;
-        stride *= levels[dim] as u64;
-    }
-    key
-}
-
-/// The running n-tuple fitness model: per-tuple sample counts and mean fitness.
-struct TupleModel {
-    tuples: Vec<Vec<usize>>,
+/// The running n-tuple fitness model of NTBEA: per-tuple sample counts and mean
+/// fitness over all 1-tuples, all 2-tuples, and (beyond two dimensions) the full point.
+///
+/// Each 1- and 2-tuple owns a dense `(count, mean)` table indexed by the levels it
+/// covers (a count of zero marks an unseen setting), so scoring a point reads one cell
+/// per tuple with no hashing; only the full point, whose settings are too many to
+/// tabulate, is kept in a map. Tuples are visited in a fixed order (1-tuples, 2-tuples
+/// `(i, j)` with `i < j` in lexicographic order, then the full point), so every sum
+/// runs in that order.
+#[derive(Debug, Clone)]
+pub struct TupleModel {
     levels: Vec<usize>,
-    stats: HashMap<(usize, u64), (u64, f64)>,
+    /// `(i, j, stride, offset)` of each 1- and 2-tuple: its cell for a point is
+    /// `offset + point[i] + point[j] * stride` (a 1-tuple has `i == j` and stride 0).
+    tables: Vec<(usize, usize, usize, usize)>,
+    cells: Vec<(u64, f64)>,
+    /// Statistics of the full point, keyed by its mixed-radix index; `None` at two
+    /// dimensions or fewer, where the pairs already cover it.
+    full: Option<HashMap<u64, (u64, f64)>>,
     total: u64,
     fit_min: f64,
     fit_max: f64,
 }
 
+/// The cell of `point` in a 1- or 2-tuple's table `(i, j, stride, offset)`.
+fn cell_of(&(i, j, stride, offset): &(usize, usize, usize, usize), point: &[usize]) -> usize {
+    offset + point[i] + point[j] * stride
+}
+
 impl TupleModel {
-    fn new(levels: Vec<usize>) -> Self {
+    /// An empty model of a space with `levels[d]` settings in dimension `d`.
+    pub fn new(levels: Vec<usize>) -> Self {
+        let dims = levels.len();
+        let mut tables = Vec::new();
+        let mut size = 0;
+        for (i, &li) in levels.iter().enumerate() {
+            tables.push((i, i, 0, size));
+            size += li;
+        }
+        for (i, &li) in levels.iter().enumerate() {
+            for (j, &lj) in levels.iter().enumerate().skip(i + 1) {
+                tables.push((i, j, li, size));
+                size += li * lj;
+            }
+        }
         Self {
-            tuples: tuple_sets(levels.len()),
             levels,
-            stats: HashMap::new(),
+            tables,
+            cells: vec![(0, 0.0); size],
+            full: (dims > 2).then(HashMap::new),
             total: 0,
             fit_min: f64::INFINITY,
             fit_max: f64::NEG_INFINITY,
         }
     }
 
-    fn update(&mut self, point: &[usize], fitness: f64) {
+    /// The full point's key: its levels packed into one mixed-radix index.
+    fn full_key(&self, point: &[usize]) -> u64 {
+        let mut key = 0u64;
+        let mut stride = 1u64;
+        for (&level, &levels) in point.iter().zip(&self.levels) {
+            key += level as u64 * stride;
+            stride *= levels as u64;
+        }
+        key
+    }
+
+    /// The statistics of every tuple covering `point`, in tuple order (`None` for an
+    /// unseen one).
+    fn stats_of<'a>(&'a self, point: &'a [usize]) -> impl Iterator<Item = Option<(u64, f64)>> + 'a {
+        let dense = self
+            .tables
+            .iter()
+            .map(|table| Some(self.cells[cell_of(table, point)]).filter(|&(count, _)| count > 0));
+        let full = self
+            .full
+            .as_ref()
+            .map(|map| map.get(&self.full_key(point)).copied());
+        dense.chain(full)
+    }
+
+    fn tuple_count(&self) -> usize {
+        self.tables.len() + usize::from(self.full.is_some())
+    }
+
+    /// Records one evaluation of `point` with the given fitness (higher is better).
+    pub fn update(&mut self, point: &[usize], fitness: f64) {
         self.total += 1;
         self.fit_min = self.fit_min.min(fitness);
         self.fit_max = self.fit_max.max(fitness);
-        for (index, tuple) in self.tuples.iter().enumerate() {
-            let key = (index, pack(point, tuple, &self.levels));
-            let entry = self.stats.entry(key).or_insert((0, 0.0));
+        let record = |entry: &mut (u64, f64)| {
             entry.0 += 1;
             entry.1 += (fitness - entry.1) / entry.0 as f64;
+        };
+        for table in &self.tables {
+            record(&mut self.cells[cell_of(table, point)]);
+        }
+        let key = self.full_key(point);
+        if let Some(map) = &mut self.full {
+            record(map.entry(key).or_insert((0, 0.0)));
         }
     }
 
-    /// Mean fitness of the tuples covering `point` (exploitation only).
-    fn value(&self, point: &[usize]) -> f64 {
+    /// Mean fitness of the tuples covering `point` (exploitation only), or
+    /// `f64::NEG_INFINITY` when none has been seen.
+    pub fn value(&self, point: &[usize]) -> f64 {
         let mut sum = 0.0;
         let mut n = 0u64;
-        for (index, tuple) in self.tuples.iter().enumerate() {
-            if let Some(&(_, mean)) = self.stats.get(&(index, pack(point, tuple, &self.levels))) {
-                sum += mean;
-                n += 1;
-            }
+        for (_, mean) in self.stats_of(point).flatten() {
+            sum += mean;
+            n += 1;
         }
         if n == 0 {
             f64::NEG_INFINITY
@@ -141,16 +180,17 @@ impl TupleModel {
         }
     }
 
-    /// UCB score of `point`: tuple-mean value plus an exploration bonus scaled to the
-    /// observed fitness range (unseen tuples count as nearly-unvisited).
-    fn ucb(&self, point: &[usize], k: f64) -> f64 {
+    /// UCB score of `point`: tuple-mean value plus an exploration bonus with constant
+    /// `k`, scaled to the observed fitness range (unseen tuples count as
+    /// nearly-unvisited).
+    pub fn ucb(&self, point: &[usize], k: f64) -> f64 {
         let log_total = ((self.total + 1) as f64).ln();
         let mut value_sum = 0.0;
         let mut value_n = 0u64;
         let mut explore = 0.0;
-        for (index, tuple) in self.tuples.iter().enumerate() {
-            match self.stats.get(&(index, pack(point, tuple, &self.levels))) {
-                Some(&(count, mean)) => {
+        for stats in self.stats_of(point) {
+            match stats {
+                Some((count, mean)) => {
                     value_sum += mean;
                     value_n += 1;
                     explore += (log_total / count as f64).sqrt();
@@ -168,7 +208,7 @@ impl TupleModel {
         } else {
             1.0
         };
-        value + k * range * explore / self.tuples.len() as f64
+        value + k * range * explore / self.tuple_count() as f64
     }
 }
 
