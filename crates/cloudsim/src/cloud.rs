@@ -6,7 +6,6 @@ use crate::colocation::{
 use crate::cost::CostTracker;
 use crate::fastpath::fast_path_enabled;
 use crate::interference::{InterferenceModel, InterferenceProfile, InterferenceSampler};
-use crate::record::{RunKind, RunLog, RunRecord};
 use crate::rng::SimRng;
 use crate::spec::ExecutionSpec;
 use crate::time::SimTime;
@@ -90,8 +89,8 @@ struct GameScratch {
 
 /// A shared, interference-prone cloud node on which tuning is performed.
 ///
-/// The environment owns a simulated wall clock, an interference model for its node, a
-/// cost tracker, and a run log. All tuners (baselines and DarwinGame) evaluate
+/// The environment owns a simulated wall clock, an interference model for its node,
+/// and a cost tracker. All tuners (baselines and DarwinGame) evaluate
 /// configurations exclusively through this type, so they are all exposed to the same
 /// noise statistics.
 pub struct CloudEnvironment {
@@ -106,7 +105,6 @@ pub struct CloudEnvironment {
     clock: SimTime,
     cost: CostTracker,
     rng: SimRng,
-    log: RunLog,
     scratch: GameScratch,
 }
 
@@ -116,7 +114,7 @@ impl std::fmt::Debug for CloudEnvironment {
             .field("vm", &self.vm)
             .field("clock", &self.clock)
             .field("core_hours", &self.cost.core_hours())
-            .field("runs", &self.log.len())
+            .field("runs", &self.cost.runs())
             .finish()
     }
 }
@@ -140,7 +138,6 @@ impl CloudEnvironment {
             clock: SimTime::ZERO,
             cost: CostTracker::new(),
             rng: rng.derive("games"),
-            log: RunLog::new(),
             scratch: GameScratch::default(),
         }
     }
@@ -186,11 +183,6 @@ impl CloudEnvironment {
         &self.cost
     }
 
-    /// Audit log of committed runs.
-    pub fn run_log(&self) -> &RunLog {
-        &self.log
-    }
-
     /// Default number of players per game on this VM (its vCPU count), the paper's `P`.
     pub fn players_per_game(&self) -> usize {
         self.vm.vcpus()
@@ -229,63 +221,34 @@ impl CloudEnvironment {
 
     /// Accounts for a finished game and advances the wall clock by its elapsed time.
     pub fn commit(&mut self, outcome: &ColocationOutcome) {
-        self.commit_parts(outcome.players(), outcome.start_time(), outcome.elapsed());
+        self.commit_elapsed(outcome.elapsed());
     }
 
-    /// [`commit`](Self::commit) from the raw accounting triple `(players, start,
-    /// elapsed)` instead of a full [`ColocationOutcome`].
+    /// [`commit`](Self::commit) from the game's wall-clock seconds alone instead of a
+    /// full [`ColocationOutcome`].
     ///
     /// Execution backends that did not resimulate the game (trace replay, memoised
-    /// hits) only carry these three numbers; charging through the same code path keeps
-    /// their cost accounting bit-identical to a live simulation.
-    pub fn commit_parts(&mut self, players: usize, start: SimTime, elapsed: f64) {
+    /// hits) only carry the accounting numbers; charging through the same code path
+    /// keeps their cost accounting bit-identical to a live simulation.
+    pub fn commit_elapsed(&mut self, elapsed: f64) {
         self.cost.charge_serial(self.vm, elapsed);
         self.clock += elapsed;
-        self.log.push(RunRecord {
-            kind: if players == 1 {
-                RunKind::Single
-            } else {
-                RunKind::Colocated
-            },
-            players,
-            vm: self.vm,
-            start,
-            elapsed,
-        });
     }
 
     /// Accounts for a batch of games that ran concurrently on identical VMs: every game
     /// is charged in core-hours but the clock advances only by the longest one.
     pub fn commit_parallel(&mut self, outcomes: &[ColocationOutcome]) {
-        let parts: Vec<(usize, SimTime, f64)> = outcomes
-            .iter()
-            .map(|o| (o.players(), o.start_time(), o.elapsed()))
-            .collect();
-        self.commit_parallel_parts(&parts);
+        let elapsed: Vec<f64> = outcomes.iter().map(ColocationOutcome::elapsed).collect();
+        self.commit_parallel_elapsed(&elapsed);
     }
 
-    /// [`commit_parallel`](Self::commit_parallel) from raw accounting triples.
-    pub fn commit_parallel_parts(&mut self, parts: &[(usize, SimTime, f64)]) {
-        if parts.is_empty() {
+    /// [`commit_parallel`](Self::commit_parallel) from the games' wall-clock seconds.
+    pub fn commit_parallel_elapsed(&mut self, elapsed: &[f64]) {
+        if elapsed.is_empty() {
             return;
         }
-        let elapsed: Vec<f64> = parts.iter().map(|(_, _, e)| *e).collect();
-        self.cost.charge_parallel(self.vm, &elapsed);
-        let max_elapsed = elapsed.iter().copied().fold(0.0_f64, f64::max);
-        self.clock += max_elapsed;
-        for (players, start, elapsed) in parts.iter().copied() {
-            self.log.push(RunRecord {
-                kind: if players == 1 {
-                    RunKind::Single
-                } else {
-                    RunKind::Colocated
-                },
-                players,
-                vm: self.vm,
-                start,
-                elapsed,
-            });
-        }
+        self.cost.charge_parallel(self.vm, elapsed);
+        self.clock += elapsed.iter().copied().fold(0.0_f64, f64::max);
     }
 
     /// Convenience helper: runs a co-located game to completion, commits it, and returns
@@ -508,7 +471,7 @@ impl CloudEnvironment {
             .normal_with(1.0, MEASUREMENT_NOISE_STD)
             .clamp(0.99, 1.01);
         let (observed_time, elapsed) = self.solo_run_fast(spec, started_at, jitter, noise);
-        self.commit_parts(1, started_at, elapsed);
+        self.commit_elapsed(elapsed);
         ObservedRun {
             observed_time,
             started_at,
@@ -684,7 +647,7 @@ mod tests {
         assert!(run.observed_time >= 110.0, "observed {}", run.observed_time);
         assert!(cloud.clock().as_seconds() > 0.0);
         assert!(cloud.cost().core_hours() > 0.0);
-        assert_eq!(cloud.run_log().len(), 1);
+        assert_eq!(cloud.cost().runs(), 1);
     }
 
     #[test]
@@ -694,7 +657,7 @@ mod tests {
         let t = cloud.observe_single_at(spec, SimTime::from_seconds(1000.0), 0);
         assert!(t >= 95.0);
         assert_eq!(cloud.cost().core_hours(), 0.0);
-        assert_eq!(cloud.run_log().len(), 0);
+        assert_eq!(cloud.cost().runs(), 0);
     }
 
     #[test]
@@ -748,7 +711,7 @@ mod tests {
         let longest = a.elapsed().max(b.elapsed());
         cloud.commit_parallel(&[a, b]);
         assert!((cloud.clock().as_seconds() - longest).abs() < 1e-9);
-        assert_eq!(cloud.run_log().len(), 2);
+        assert_eq!(cloud.cost().runs(), 2);
     }
 
     #[test]
@@ -919,8 +882,8 @@ mod tests {
                             &format!("{vm:?}/{profile:?}/seed={seed}/game={game}"),
                         );
                         // Advance both clocks identically so later games differ in start.
-                        fast_env.commit_parts(specs.len(), fast.start, fast.elapsed);
-                        ref_env.commit_parts(specs.len(), reference.start, reference.elapsed);
+                        fast_env.commit_elapsed(fast.elapsed);
+                        ref_env.commit_elapsed(reference.elapsed);
                         assert_eq!(fast_env.clock(), ref_env.clock());
                     }
                 }

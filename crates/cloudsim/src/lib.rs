@@ -41,7 +41,6 @@ mod colocation;
 mod cost;
 mod fastpath;
 mod interference;
-mod record;
 mod rng;
 mod spec;
 mod time;
@@ -58,7 +57,6 @@ pub use interference::{
     BurstNoise, CompositeInterference, ConstantInterference, InterferenceModel,
     InterferenceProfile, InterferenceSampler, RegimeNoise, ValueNoise,
 };
-pub use record::{RunKind, RunLog, RunRecord};
 pub use rng::{hash_unit, mix, SimRng};
 pub use spec::ExecutionSpec;
 pub use time::SimTime;

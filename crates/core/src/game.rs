@@ -10,36 +10,37 @@ use serde::{Deserialize, Serialize};
 /// the game runs.
 pub use dg_exec::GameRules as GameOptions;
 
-/// The result of one game.
+/// The result of one game: the backend's play plus the ranking derived from it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GameResult {
-    /// The configurations that played, in player order.
-    pub configs: Vec<ConfigId>,
-    /// Execution score of every player (work done relative to the fastest player).
-    pub execution_scores: Vec<f64>,
-    /// 1-based rank of every player by execution score.
+    /// 1-based rank of every player by execution score, in player order.
     pub ranks: Vec<usize>,
-    /// Index (into `configs`) of the winning player.
+    /// Index (into the game's roster) of the winning player.
     pub winner: usize,
-    /// Wall-clock seconds the game occupied its node.
-    pub elapsed: f64,
-    /// Whether the game was stopped by the early-termination rule.
-    pub early_terminated: bool,
-    /// The raw backend-level play (the committable unit of accounting).
+    /// The raw backend-level play (the committable unit of accounting): per-player
+    /// execution scores and observed times, wall-clock seconds, early termination.
     pub play: GamePlay,
 }
 
 impl GameResult {
-    /// Player indices ordered from best to worst execution score.
-    pub fn standings(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.configs.len()).collect();
-        order.sort_by_key(|i| self.ranks[*i]);
-        order
+    fn new(play: GamePlay) -> Self {
+        let ranks = rank_descending(&play.execution_scores);
+        let winner = ranks
+            .iter()
+            .position(|r| *r == 1)
+            .expect("exactly one player holds rank 1");
+        Self {
+            ranks,
+            winner,
+            play,
+        }
     }
 
-    /// The winning configuration.
-    pub fn winning_config(&self) -> ConfigId {
-        self.configs[self.winner]
+    /// Player indices ordered from best to worst execution score.
+    pub fn standings(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.ranks.len()).collect();
+        order.sort_by_key(|i| self.ranks[*i]);
+        order
     }
 }
 
@@ -64,23 +65,7 @@ pub fn play_game(
 ) -> GameResult {
     assert!(!configs.is_empty(), "a game needs at least one player");
     let specs: Vec<_> = configs.iter().map(|id| workload.spec(*id)).collect();
-    let play = exec.play_game(&specs, &options);
-
-    let execution_scores = play.execution_scores.clone();
-    let ranks = rank_descending(&execution_scores);
-    let winner = ranks
-        .iter()
-        .position(|r| *r == 1)
-        .expect("exactly one player holds rank 1");
-    GameResult {
-        configs: configs.to_vec(),
-        execution_scores,
-        ranks,
-        winner,
-        elapsed: play.elapsed,
-        early_terminated: play.early_terminated,
-        play,
-    }
+    GameResult::new(exec.play_game(&specs, &options))
 }
 
 /// Plays one round's worth of games as a single backend batch.
@@ -116,27 +101,9 @@ pub fn play_games(
             specs: &specs[range.clone()],
         })
         .collect();
-    let plays = exec.play_games_batch(&items, &options);
-    games
-        .iter()
-        .zip(plays)
-        .map(|(configs, play)| {
-            let execution_scores = play.execution_scores.clone();
-            let ranks = rank_descending(&execution_scores);
-            let winner = ranks
-                .iter()
-                .position(|r| *r == 1)
-                .expect("exactly one player holds rank 1");
-            GameResult {
-                configs: configs.clone(),
-                execution_scores,
-                ranks,
-                winner,
-                elapsed: play.elapsed,
-                early_terminated: play.early_terminated,
-                play,
-            }
-        })
+    exec.play_games_batch(&items, &options)
+        .into_iter()
+        .map(GameResult::new)
         .collect()
 }
 
@@ -172,8 +139,9 @@ mod tests {
     fn clearly_faster_config_wins() {
         let (workload, mut cloud) = setup();
         let (fast, slow) = fast_and_slow(&workload);
-        let result = play_game(&mut cloud, &workload, &[slow, fast], GameOptions::default());
-        assert_eq!(result.winning_config(), fast);
+        let configs = [slow, fast];
+        let result = play_game(&mut cloud, &workload, &configs, GameOptions::default());
+        assert_eq!(configs[result.winner], fast);
         assert_eq!(result.ranks[result.winner], 1);
     }
 
@@ -184,9 +152,9 @@ mod tests {
 
         let with_early = play_game(&mut cloud, &workload, &[fast, slow], GameOptions::default());
         let without_early = play_game(&mut cloud, &workload, &[fast, slow], GameOptions::playoff());
-        assert!(with_early.early_terminated);
-        assert!(!without_early.early_terminated);
-        assert!(with_early.elapsed < without_early.elapsed);
+        assert!(with_early.play.early_terminated);
+        assert!(!without_early.play.early_terminated);
+        assert!(with_early.play.elapsed < without_early.play.elapsed);
     }
 
     #[test]
@@ -194,9 +162,10 @@ mod tests {
         let (workload, mut cloud) = setup();
         let configs: Vec<ConfigId> = (0..8).map(|i| i * (workload.size() / 9)).collect();
         let result = play_game(&mut cloud, &workload, &configs, GameOptions::default());
-        let winner_score = result.execution_scores[result.winner];
+        let winner_score = result.play.execution_scores[result.winner];
         assert!((winner_score - 1.0).abs() < 1e-9);
         assert!(result
+            .play
             .execution_scores
             .iter()
             .all(|s| (0.0..=1.0 + 1e-9).contains(s)));
@@ -228,8 +197,9 @@ mod tests {
         let (workload, mut cloud) = setup();
         let result = play_game(&mut cloud, &workload, &[0, 1], GameOptions::default());
         assert_eq!(result.play.players(), 2);
-        assert_eq!(result.play.elapsed, result.elapsed);
-        assert_eq!(result.play.execution_scores, result.execution_scores);
+        assert_eq!(result.ranks.len(), 2);
+        assert_eq!(result.play.execution_scores.len(), 2);
+        assert!(result.play.elapsed > 0.0);
     }
 
     #[test]
@@ -257,11 +227,13 @@ mod tests {
         assert_eq!(expected, got);
         for (a, b) in expected.iter().zip(&got) {
             assert_eq!(
-                a.execution_scores
+                a.play
+                    .execution_scores
                     .iter()
                     .map(|s| s.to_bits())
                     .collect::<Vec<_>>(),
-                b.execution_scores
+                b.play
+                    .execution_scores
                     .iter()
                     .map(|s| s.to_bits())
                     .collect::<Vec<_>>(),

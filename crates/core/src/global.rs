@@ -34,9 +34,9 @@ impl GlobalOutcome {
     /// All players advancing to the playoffs (finalists plus the wild card).
     pub fn playoff_players(&self) -> Vec<Player> {
         let mut players = self.finalists.clone();
-        if let Some(wildcard) = &self.wildcard {
+        if let Some(wildcard) = self.wildcard {
             if !players.iter().any(|p| p.config() == wildcard.config()) {
-                players.push(wildcard.clone());
+                players.push(wildcard);
             }
         }
         players
@@ -59,7 +59,9 @@ pub fn run_global_phase(
 
     let mut games_played = 0usize;
     let mut rounds = 0usize;
-    let mut loser_bracket: Vec<Player> = Vec::new();
+    // Losers keep the score snapshot they lost with, keyed once by the wild-card
+    // criterion (execution score plus consistency score).
+    let mut loser_bracket: Vec<(f64, Player)> = Vec::new();
 
     if !config.ablation.global_phase {
         // Ablation "w/o global": a single game among (up to P of) the regional winners
@@ -79,14 +81,11 @@ pub fn run_global_phase(
             for (slot, player) in players.iter_mut().enumerate() {
                 player
                     .scores_mut()
-                    .record_game(result.execution_scores[slot], result.ranks[slot]);
+                    .record_game(result.play.execution_scores[slot], result.ranks[slot]);
             }
             let standings = result.standings();
             let keep = config.main_bracket_target.min(standings.len());
-            let finalists: Vec<Player> = standings[..keep]
-                .iter()
-                .map(|i| players[*i].clone())
-                .collect();
+            let finalists: Vec<Player> = standings[..keep].iter().map(|i| players[*i]).collect();
             return GlobalOutcome {
                 finalists,
                 wildcard: None,
@@ -131,7 +130,7 @@ pub fn run_global_phase(
         for group in &groups {
             if group.len() == 1 {
                 // A lone player advances without playing.
-                winners.push(players[group[0]].clone());
+                winners.push(players[group[0]]);
                 continue;
             }
             let result = results.next().expect("one result per multi-player group");
@@ -140,23 +139,25 @@ pub fn run_global_phase(
             for (slot, player_index) in group.iter().enumerate() {
                 players[*player_index]
                     .scores_mut()
-                    .record_game(result.execution_scores[slot], result.ranks[slot]);
+                    .record_game(result.play.execution_scores[slot], result.ranks[slot]);
             }
             let consistency: Vec<f64> = group
                 .iter()
                 .map(|i| players[*i].consistency_score())
                 .collect();
             let order = combined_ranking(
-                &result.execution_scores,
+                &result.play.execution_scores,
                 &consistency,
                 config.ablation.execution_score,
                 config.ablation.consistency_score,
             );
             let winner_slot = order[0];
-            winners.push(players[group[winner_slot]].clone());
+            winners.push(players[group[winner_slot]]);
             for slot in order.into_iter().skip(1) {
                 if config.ablation.double_elimination {
-                    loser_bracket.push(players[group[slot]].clone());
+                    let loser = players[group[slot]];
+                    let key = loser.average_execution_score() + loser.consistency_score();
+                    loser_bracket.push((key, loser));
                 }
             }
             round_outcomes.push(result.play);
@@ -176,27 +177,29 @@ pub fn run_global_phase(
 
     // Wild card from the loser bracket.
     let wildcard = if config.ablation.double_elimination && loser_bracket.len() >= 2 {
-        loser_bracket.sort_by(|a, b| {
-            let score_a = a.average_execution_score() + a.consistency_score();
-            let score_b = b.average_execution_score() + b.consistency_score();
+        loser_bracket.sort_by(|(score_a, a), (score_b, b)| {
             score_b
-                .partial_cmp(&score_a)
+                .partial_cmp(score_a)
                 .expect("scores are not NaN")
                 .then(a.config().cmp(&b.config()))
         });
-        loser_bracket.truncate(players_per_game);
-        let configs: Vec<ConfigId> = loser_bracket.iter().map(Player::config).collect();
+        let mut contenders: Vec<Player> = loser_bracket
+            .iter()
+            .take(players_per_game)
+            .map(|(_, p)| *p)
+            .collect();
+        let configs: Vec<ConfigId> = contenders.iter().map(Player::config).collect();
         let result = play_game(exec, workload, &configs, game_options);
         exec.commit(&result.play);
         games_played += 1;
-        for (slot, player) in loser_bracket.iter_mut().enumerate() {
+        for (slot, player) in contenders.iter_mut().enumerate() {
             player
                 .scores_mut()
-                .record_game(result.execution_scores[slot], result.ranks[slot]);
+                .record_game(result.play.execution_scores[slot], result.ranks[slot]);
         }
-        Some(loser_bracket[result.winner].clone())
+        Some(contenders[result.winner])
     } else if config.ablation.double_elimination {
-        loser_bracket.first().cloned()
+        loser_bracket.first().map(|(_, p)| *p)
     } else {
         None
     };

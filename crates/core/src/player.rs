@@ -1,11 +1,15 @@
 //! Tournament players.
+//!
+//! A player is a configuration id, its origin region and a [`ScoreBoard`] of running
+//! score aggregates — a few machine words with no heap data — so it is `Copy`: phases
+//! pass players between brackets by value instead of cloning score histories.
 
 use crate::score::ScoreBoard;
 use dg_workloads::ConfigId;
 use serde::{Deserialize, Serialize};
 
-/// A player in the tournament: one tuning configuration plus its score history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A player in the tournament: one tuning configuration plus its score aggregates.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Player {
     config: ConfigId,
     origin_region: Option<usize>,
@@ -33,12 +37,12 @@ impl Player {
         self.origin_region
     }
 
-    /// The player's score history.
+    /// The player's score aggregates.
     pub fn scores(&self) -> &ScoreBoard {
         &self.scores
     }
 
-    /// Mutable access to the score history (used by the game driver).
+    /// Mutable access to the score aggregates (used by the game driver).
     pub fn scores_mut(&mut self) -> &mut ScoreBoard {
         &mut self.scores
     }

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 pub struct RegionalOutcome {
     /// Which region (partition part) this outcome belongs to.
     pub region: usize,
-    /// Players that advance to the global phase, score history included.
+    /// Players that advance to the global phase, score aggregates included.
     pub winners: Vec<Player>,
     /// Number of games played inside the region.
     pub games_played: usize,
@@ -65,15 +65,10 @@ pub fn run_region(
     // Candidate pool: enough distinct configurations to feed every possible round.
     let pool_size =
         players_per_game + (players_per_game / 2) * config.max_regional_rounds.saturating_sub(1);
-    let candidates: Vec<ConfigId> = partition
+    let mut players: Vec<Player> = partition
         .sample_distinct(region, pool_size, &mut rng)
         .into_iter()
-        .map(|id| id + offset)
-        .collect();
-
-    let mut players: Vec<Player> = candidates
-        .iter()
-        .map(|id| Player::new(*id, Some(region)))
+        .map(|id| Player::new(id + offset, Some(region)))
         .collect();
     let mut unplayed: Vec<usize> = (0..players.len()).collect();
     rng.shuffle(&mut unplayed);
@@ -89,9 +84,11 @@ pub fn run_region(
         1
     };
 
-    // Round scratch, reused so the per-round loop allocates nothing for selection.
+    // Round scratch, allocated once so that selection allocates nothing in the loop.
     let mut participants: Vec<usize> = Vec::with_capacity(players_per_game);
     let mut configs: Vec<ConfigId> = Vec::with_capacity(players_per_game);
+    let mut veterans: Vec<usize> = Vec::with_capacity(players.len());
+    let mut weights: Vec<f64> = Vec::with_capacity(players.len());
 
     for round in 0..rounds {
         // Select this round's participants.
@@ -103,22 +100,25 @@ pub fn run_region(
             }
         } else {
             // Half new players, half high-scoring veterans selected probabilistically.
+            // Every player still in `unplayed` has played no game and every player
+            // taken out of it plays this round, so the new players are never veterans
+            // and one scan of the pool finds the candidates.
             let new_slots = (players_per_game / 2).min(unplayed.len());
             for _ in 0..new_slots {
                 participants.push(unplayed.pop().expect("unplayed is non-empty"));
             }
-            let veteran_indices: Vec<usize> = (0..players.len())
-                .filter(|i| players[*i].scores().games_played() > 0 && !participants.contains(i))
-                .collect();
-            let veteran_slots = (players_per_game - participants.len()).min(veteran_indices.len());
-            let mut weights: Vec<f64> = veteran_indices
-                .iter()
-                .map(|i| players[*i].average_execution_score().max(0.01))
-                .collect();
-            let mut remaining = veteran_indices;
+            veterans.clear();
+            weights.clear();
+            for (i, player) in players.iter().enumerate() {
+                if player.scores().games_played() > 0 {
+                    veterans.push(i);
+                    weights.push(player.average_execution_score().max(0.01));
+                }
+            }
+            let veteran_slots = (players_per_game - participants.len()).min(veterans.len());
             for _ in 0..veteran_slots {
                 let pick = rng.weighted_index(&weights);
-                participants.push(remaining.swap_remove(pick));
+                participants.push(veterans.swap_remove(pick));
                 weights.swap_remove(pick);
             }
         }
@@ -140,11 +140,11 @@ pub fn run_region(
         for (slot, player_index) in participants.iter().enumerate() {
             players[*player_index]
                 .scores_mut()
-                .record_game(result.execution_scores[slot], result.ranks[slot]);
+                .record_game(result.play.execution_scores[slot], result.ranks[slot]);
         }
 
         // Track consecutive wins of the same configuration for the termination rule.
-        let winning_config = result.winning_config();
+        let winning_config = configs[result.winner];
         if Some(winning_config) == last_winner {
             consecutive_wins += 1;
         } else {
@@ -160,33 +160,28 @@ pub fn run_region(
     }
 
     // Decide who advances: everyone within the work-done deviation of the best player's
-    // average execution score (or only the single best, under the ablation). Winners
-    // are selected by index and *moved* out of the pool — their score histories were
-    // grown in place all region long and never need copying.
-    let mut veterans: Vec<usize> = (0..players.len())
-        .filter(|i| players[*i].scores().games_played() > 0)
+    // average execution score (or only the single best, under the ablation). Scores
+    // are read once into sort keys; winners are copied out of the pool by index.
+    let mut ranked: Vec<(f64, ConfigId, usize)> = players
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.scores().games_played() > 0)
+        .map(|(i, p)| (p.average_execution_score(), p.config(), i))
         .collect();
-    veterans.sort_by(|a, b| {
-        players[*b]
-            .average_execution_score()
-            .partial_cmp(&players[*a].average_execution_score())
+    ranked.sort_by(|a, b| {
+        b.0.partial_cmp(&a.0)
             .expect("scores are not NaN")
-            .then(players[*a].config().cmp(&players[*b].config()))
+            .then(a.1.cmp(&b.1))
     });
-    if veterans.is_empty() {
+    if ranked.is_empty() {
         // No games were played (degenerate pool): nobody advances.
     } else if config.ablation.single_regional_winner {
-        veterans.truncate(1);
+        ranked.truncate(1);
     } else {
-        let best_score = players[veterans[0]].average_execution_score();
-        let threshold = best_score * (1.0 - config.work_done_deviation);
-        veterans.retain(|i| players[*i].average_execution_score() >= threshold);
+        let threshold = ranked[0].0 * (1.0 - config.work_done_deviation);
+        ranked.retain(|(score, _, _)| *score >= threshold);
     }
-    let mut pool: Vec<Option<Player>> = players.into_iter().map(Some).collect();
-    let winners: Vec<Player> = veterans
-        .iter()
-        .map(|i| pool[*i].take().expect("winner indices are distinct"))
-        .collect();
+    let winners: Vec<Player> = ranked.iter().map(|(_, _, i)| players[*i]).collect();
 
     RegionalOutcome {
         region,

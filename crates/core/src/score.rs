@@ -7,14 +7,41 @@
 //! * the **consistency score** of a player — the average of `1 / rank` over every game
 //!   the player has participated in so far (Fig. 7), which rewards configurations whose
 //!   good performance is *repeatable* under changing interference.
+//!
+//! Both are means over a player's games, so [`ScoreBoard`] keeps running aggregates
+//! (counts and sums), not per-game histories.
 
 use serde::{Deserialize, Serialize};
 
-/// Per-player score history across all games played so far.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Per-player running score aggregates across all games played so far.
+///
+/// Both scores are means, so the board keeps sums and counts rather than histories: a
+/// board is a fixed handful of numbers, recording a game is O(1) and allocates nothing,
+/// and every score read is one division. Each sum folds its terms in record order from
+/// the start value `Iterator::sum` uses (`-0.0`), so the means carry the exact bits a
+/// sum over the full history would.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScoreBoard {
-    execution_scores: Vec<f64>,
-    ranks: Vec<usize>,
+    games: usize,
+    execution_sum: f64,
+    inverse_rank_sum: f64,
+    wins: usize,
+    /// Number of consecutive rank-1 finishes ending with the latest game.
+    streak: usize,
+    latest_execution_score: f64,
+}
+
+impl Default for ScoreBoard {
+    fn default() -> Self {
+        Self {
+            games: 0,
+            execution_sum: -0.0,
+            inverse_rank_sum: -0.0,
+            wins: 0,
+            streak: 0,
+            latest_execution_score: 0.0,
+        }
+    }
 }
 
 impl ScoreBoard {
@@ -35,26 +62,34 @@ impl ScoreBoard {
             "execution score must be within [0, 1], got {execution_score}"
         );
         assert!(rank >= 1, "ranks are 1-based");
-        self.execution_scores.push(execution_score);
-        self.ranks.push(rank);
+        self.games += 1;
+        self.execution_sum += execution_score;
+        self.inverse_rank_sum += 1.0 / rank as f64;
+        self.latest_execution_score = execution_score;
+        if rank == 1 {
+            self.wins += 1;
+            self.streak += 1;
+        } else {
+            self.streak = 0;
+        }
     }
 
     /// Number of games recorded.
     pub fn games_played(&self) -> usize {
-        self.execution_scores.len()
+        self.games
     }
 
     /// Execution score of the most recent game, if any.
     pub fn latest_execution_score(&self) -> Option<f64> {
-        self.execution_scores.last().copied()
+        (self.games > 0).then_some(self.latest_execution_score)
     }
 
     /// Average execution score over all games (0 when no games were played).
     pub fn average_execution_score(&self) -> f64 {
-        if self.execution_scores.is_empty() {
+        if self.games == 0 {
             0.0
         } else {
-            self.execution_scores.iter().sum::<f64>() / self.execution_scores.len() as f64
+            self.execution_sum / self.games as f64
         }
     }
 
@@ -62,24 +97,21 @@ impl ScoreBoard {
     /// played). A player that always ranks first scores 1.0; one that alternates between
     /// rank 1 and rank 4 scores 0.625.
     pub fn consistency_score(&self) -> f64 {
-        if self.ranks.is_empty() {
+        if self.games == 0 {
             0.0
         } else {
-            self.ranks.iter().map(|r| 1.0 / *r as f64).sum::<f64>() / self.ranks.len() as f64
+            self.inverse_rank_sum / self.games as f64
         }
     }
 
     /// Number of games this player has won (rank 1).
     pub fn wins(&self) -> usize {
-        self.ranks.iter().filter(|r| **r == 1).count()
+        self.wins
     }
 
     /// True when the player won its most recent `streak` games.
     pub fn winning_streak(&self, streak: usize) -> bool {
-        if streak == 0 || self.ranks.len() < streak {
-            return false;
-        }
-        self.ranks.iter().rev().take(streak).all(|r| *r == 1)
+        streak > 0 && self.streak >= streak
     }
 }
 

@@ -158,15 +158,12 @@ impl ExecutionBackend for CloudEnvironment {
     }
 
     fn commit(&mut self, play: &GamePlay) {
-        self.commit_parts(play.players(), play.start, play.elapsed);
+        self.commit_elapsed(play.elapsed);
     }
 
     fn commit_parallel(&mut self, plays: &[GamePlay]) {
-        let parts: Vec<(usize, SimTime, f64)> = plays
-            .iter()
-            .map(|p| (p.players(), p.start, p.elapsed))
-            .collect();
-        self.commit_parallel_parts(&parts);
+        let elapsed: Vec<f64> = plays.iter().map(|p| p.elapsed).collect();
+        self.commit_parallel_elapsed(&elapsed);
     }
 
     fn fork(&mut self, seed: u64) -> Box<dyn ExecutionBackend> {

@@ -96,27 +96,57 @@ impl IndexPartition {
 
     /// Draws `count` distinct configuration indices from part `i` (or the whole part if
     /// it has fewer than `count` configurations).
+    ///
+    /// The indices come back in ascending order, followed — only if `64 * count` draws
+    /// did not find `count` distinct indices — by the lowest undrawn ones.
     pub fn sample_distinct(&self, i: usize, count: usize, rng: &mut SimRng) -> Vec<ConfigId> {
+        self.distinct_from_draws(i, count, || self.sample(i, rng))
+    }
+
+    /// [`sample_distinct`](Self::sample_distinct) over an arbitrary source of draws
+    /// from part `i`.
+    fn distinct_from_draws(
+        &self,
+        i: usize,
+        count: usize,
+        mut draw: impl FnMut() -> ConfigId,
+    ) -> Vec<ConfigId> {
         let range = self.range(i);
         let span = (range.end - range.start) as usize;
         if span <= count {
             return range.collect();
         }
-        let mut chosen = std::collections::BTreeSet::new();
-        // Rejection sampling is fine because count << span in the regional phase.
+        // Membership is a bitset over the part's offsets. Rejection sampling is fine
+        // because count << span in the regional phase.
+        let mut chosen = vec![0u64; span.div_ceil(64)];
+        let is_chosen =
+            |chosen: &[u64], offset: usize| (chosen[offset / 64] >> (offset % 64)) & 1 == 1;
+        let mut distinct = 0usize;
         let mut attempts = 0usize;
-        while chosen.len() < count && attempts < count * 64 {
-            chosen.insert(self.sample(i, rng));
+        while distinct < count && attempts < count * 64 {
+            let offset = (draw() - range.start) as usize;
+            if !is_chosen(&chosen, offset) {
+                chosen[offset / 64] |= 1 << (offset % 64);
+                distinct += 1;
+            }
             attempts += 1;
         }
-        // Degenerate fallback: fill sequentially from the start of the range.
-        let mut result: Vec<ConfigId> = chosen.into_iter().collect();
-        let mut next = range.start;
-        while result.len() < count {
-            if !result.contains(&next) {
-                result.push(next);
+        let mut result: Vec<ConfigId> = Vec::with_capacity(count);
+        for (word_index, word) in chosen.iter().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let offset = word_index * 64 + bits.trailing_zeros() as usize;
+                result.push(range.start + offset as u64);
+                bits &= bits - 1;
             }
-            next += 1;
+        }
+        // Degenerate fallback: fill with the lowest undrawn indices.
+        let mut offset = 0usize;
+        while result.len() < count {
+            if !is_chosen(&chosen, offset) {
+                result.push(range.start + offset as u64);
+            }
+            offset += 1;
         }
         result
     }
@@ -192,6 +222,17 @@ mod tests {
         assert_eq!(unique.len(), 32);
         let range = partition.range(3);
         assert!(samples.iter().all(|s| range.contains(s)));
+    }
+
+    #[test]
+    fn degenerate_draws_fall_back_to_the_lowest_undrawn_indices() {
+        // Part 1 of 10 is 100..200. A source that only ever yields 107 and 103 exhausts
+        // its 64 * count attempts with two distinct draws; the rest are filled from the
+        // bottom of the part, skipping the drawn ones.
+        let partition = IndexPartition::new(1_000, 10);
+        let mut draws = [107, 103].into_iter().cycle();
+        let result = partition.distinct_from_draws(1, 5, || draws.next().unwrap());
+        assert_eq!(result, vec![103, 107, 100, 101, 102]);
     }
 
     #[test]

@@ -122,6 +122,9 @@ pub struct SyntheticSurface {
     penalties: Vec<Vec<f64>>,
     /// Pairs of interacting dimensions and their weights.
     interactions: Vec<(usize, usize, f64)>,
+    /// Per-dimension stride of the mixed-radix configuration index (first dimension
+    /// fastest, as [`ParameterSpace::point_of`] lays it out).
+    strides: Vec<u64>,
     /// Sorted sample of raw penalty values used as an empirical CDF for shaping.
     raw_quantiles: Vec<f64>,
     /// Exponent applied to the CDF value to achieve the configured `fast_fraction`.
@@ -207,6 +210,15 @@ impl SyntheticSurface {
             }
         }
 
+        let strides = space
+            .parameters()
+            .iter()
+            .scan(1u64, |stride, parameter| {
+                let this = *stride;
+                *stride *= parameter.level_count() as u64;
+                Some(this)
+            })
+            .collect();
         let mut surface = Self {
             space,
             config,
@@ -215,6 +227,7 @@ impl SyntheticSurface {
             optimal_levels,
             penalties,
             interactions,
+            strides,
             raw_quantiles: Vec::new(),
             shape_exponent: 1.0,
         };
@@ -259,16 +272,23 @@ impl SyntheticSurface {
 
     /// Raw (unshaped) penalty of a configuration, in `[0, 1]`.
     fn raw_penalty(&self, id: ConfigId) -> f64 {
-        let point = self.space.point_of(id);
+        // Levels are decoded from the index in place rather than through
+        // `ParameterSpace::point_of`, so a lookup allocates nothing. Each penalty table
+        // has one entry per level.
         let mut per_dimension = 0.0;
-        for (d, level) in point.iter().enumerate() {
-            per_dimension += self.weights[d] * self.penalties[d][*level];
+        let mut rest = id;
+        for (d, table) in self.penalties.iter().enumerate() {
+            let levels = table.len() as u64;
+            per_dimension += self.weights[d] * table[(rest % levels) as usize];
+            rest /= levels;
         }
+        assert!(rest == 0, "configuration index out of range");
+        let level = |d: usize| ((id / self.strides[d]) % self.penalties[d].len() as u64) as usize;
         let mut interaction = 0.0;
         if !self.interactions.is_empty() {
             for (a, b, weight) in &self.interactions {
-                let la = point[*a];
-                let lb = point[*b];
+                let la = level(*a);
+                let lb = level(*b);
                 if la == self.optimal_levels[*a] && lb == self.optimal_levels[*b] {
                     continue;
                 }
